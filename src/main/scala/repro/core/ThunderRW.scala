@@ -14,11 +14,7 @@ object EngineKind extends Enumeration {
 final case class WalkRow(id: Long, source: Int, len: Int, path: Seq[Int])
 
 /** Per-partition engine output shipped back to the driver. */
-final case class PartResult(
-    stats: SimStats, steps: Long,
-    computeP: Double, init: Double, gen: Double, other: Double,
-    walks: Seq[WalkRow],
-)
+final case class PartResult(stats: SimStats, steps: Long, walks: Seq[WalkRow])
 
 /** Driver-side summary of one run. */
 final case class RunSummary(
@@ -31,10 +27,6 @@ final case class RunSummary(
   /** Parallel makespan: slowest simulated worker, plus preprocessing. */
   def execSeconds: Double = if (parts.isEmpty) 0.0 else parts.map(_.stats.seconds).max
   def totalSeconds: Double = execSeconds + preprocSeconds
-  def throughput: Double = if (execSeconds <= 0) 0.0 else steps / execSeconds
-  def phases: PhaseBreakdown = parts.foldLeft(PhaseBreakdown.zero) { (acc, p) =>
-    acc + PhaseBreakdown(p.computeP, p.init, p.gen, p.other)
-  }
 }
 
 /** ThunderRW's top level: partitions the query set over simulated workers
@@ -75,17 +67,8 @@ object ThunderRW {
                cfg: MemConfig = MemConfig(), taskRing: Int = 64,
                hint: PrefetchHint.Value = PrefetchHint.T0,
                overhead: Overhead = Overhead()): EngineResult = {
-    val sim = new MemSim(cfg)
-    kind match {
-      case EngineKind.Sequential =>
-        new SequentialEngine(g, app, sampling, tables, sim, overhead).run(walkers)
-      case EngineKind.Interleaved =>
-        new RingEngine(g, app, sampling, tables, sim, taskRing, taskRing / 2, hint,
-          amac = false, overhead).run(walkers)
-      case EngineKind.Amac =>
-        new RingEngine(g, app, sampling, tables, sim, taskRing, taskRing / 2, hint,
-          amac = true, overhead).run(walkers)
-    }
+    new StageEngine(g, app, sampling, tables, new MemSim(cfg), taskRing, taskRing / 2, hint,
+      kind, overhead).run(walkers)
   }
 
   /** Distributed run: `nQueries` walkers, `sources(i)` the start vertex of
@@ -122,9 +105,7 @@ object ThunderRW {
             if (keepWalks)
               walkers.map(w => WalkRow(w.id.toLong, w.source, w.length, w.path.toSeq)).toSeq
             else Seq.empty[WalkRow]
-          Iterator.single(PartResult(res.stats, res.steps,
-            res.phases.computeP, res.phases.init, res.phases.gen, res.phases.other,
-            walks))
+          Iterator.single(PartResult(res.stats, res.steps, walks))
         }
       }.collect().toSeq
 

@@ -55,6 +55,15 @@ final class CSRGraph(
     m
   }
 
+  /** Largest edge weight (1 on an unweighted graph): the least valid O-REJ
+    * bound for a static walk. Computed once per graph.
+    */
+  lazy val maxEdgeWeight: Float = {
+    var m = 0.0f; var e = 0
+    while (e < numEdges) { if (weight(e) > m) m = weight(e); e += 1 }
+    m
+  }
+
   def avgDegree: Double = numEdges.toDouble / numVertices
 
   /** Resident bytes of the CSR arrays (Table 5 "Memory" column). */
@@ -68,7 +77,6 @@ final class CSRGraph(
   @inline def addrNeighbor(e: Int): Long = NeighborsBase + 4L * e
   @inline def addrWeight(e: Int): Long = WeightsBase + 4L * e
   @inline def addrLabel(e: Int): Long = LabelsBase + 4L * e
-  @inline def addrAliasProb(e: Int): Long = AliasProbBase + 4L * e
   @inline def addrAliasPair(e: Int): Long = AliasPairBase + 8L * e
   @inline def addrCdf(e: Int): Long = CdfBase + 8L * e
   @inline def addrRejMax(v: Int): Long = RejMaxBase + 4L * v
@@ -80,7 +88,6 @@ object CSRGraph {
   val NeighborsBase: Long = 1L << 40
   val WeightsBase: Long = 2L << 40
   val LabelsBase: Long = 3L << 40
-  val AliasProbBase: Long = 4L << 40
   val AliasPairBase: Long = 5L << 40
   val CdfBase: Long = 6L << 40
   val RejMaxBase: Long = 7L << 40

@@ -73,7 +73,6 @@ final class MemSim(val cfg: MemConfig = MemConfig()) {
 
   // Diagnostic tallies (not part of the cost model).
   var dbgResidualStall: Double = 0.0
-  var dbgEvictStall: Double = 0.0
   var dbgDemandStall: Double = 0.0
   var dbgEvictRefetch: Long = 0L
   // completion cycles of in-flight fills (MSHR occupancy model)
@@ -166,7 +165,6 @@ final class MemSim(val cfg: MemConfig = MemConfig()) {
           val lat = missLatency(addr)
           if (lat == cfg.latDram) dramLines += 1
           stall += lat
-          dbgEvictStall += lat
           dbgEvictRefetch += 1
           fillAll(addr)
         }
@@ -236,9 +234,6 @@ final class MemSim(val cfg: MemConfig = MemConfig()) {
     }
   }
 
-  /** Instructions spent switching between ring slots (step interleaving). */
-  @inline def switchOverhead(): Unit = compute(cfg.switchInstr)
-
   def seconds: Double = cycles / (cfg.freqGhz * 1e9)
 
   def snapshot(): SimStats = SimStats(
@@ -250,6 +245,7 @@ final class MemSim(val cfg: MemConfig = MemConfig()) {
     cycles = 0; instructions = 0; computeCycles = 0
     memStallCycles = 0; coreStallCycles = 0; badSpecCycles = 0
     dramLines = 0
+    dbgResidualStall = 0; dbgDemandStall = 0; dbgEvictRefetch = 0
     prefetchReady.clear(); inflight.clear()
   }
 }

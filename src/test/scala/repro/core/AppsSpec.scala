@@ -169,4 +169,21 @@ class AppsSpec extends SparkSpec with GraphFixtures {
     val mp = Apps.metaPathFor(5)
     intercept[RuntimeException](mp.maxWeight(g))
   }
+
+  test("O-REJ refuses a static walk whose MaxWeight is below the heaviest edge") {
+    // DeepWalk's bound is 5.0; a 7.0 edge would make rejection biased.
+    val heavy = explicitGraph(3, Seq((0, 1, 7.0f, 0), (0, 2, 1.0f, 0), (1, 0, 1.0f, 0)))
+    assert(heavy.maxEdgeWeight == 7.0f)
+    val walkers = ThunderRW.makeWalkers(Seq(0), Array(0), seed = 1L)
+    val err = intercept[IllegalArgumentException] {
+      ThunderRW.runLocal(heavy, new Apps.DeepWalk(5), SamplingMethod.OREJ,
+        EngineKind.Sequential, null, walkers, cfg)
+    }
+    assert(err.getMessage.contains("O-REJ bound 5.0"))
+    // Within the bound the same walk runs.
+    val light = explicitGraph(3, Seq((0, 1, 5.0f, 0), (0, 2, 1.0f, 0), (1, 0, 1.0f, 0)))
+    ThunderRW.runLocal(light, new Apps.DeepWalk(5), SamplingMethod.OREJ,
+      EngineKind.Sequential, null, walkers, cfg)
+    assert(walkers.head.length > 0)
+  }
 }

@@ -1,28 +1,75 @@
 package repro.core
 
 import repro.{GraphFixtures, SparkSpec}
-import repro.memsim.MemConfig
-import repro.sampling.SamplingMethod
+import repro.memsim.{MemConfig, MemSim}
+import repro.sampling.{SamplingMethod, StaticTables, WalkerType}
 import repro.graph.CSRGraph
 
 /** Step interleaving is a pure scheduling transformation: for every
   * (app × sampler) combination the interleaved and AMAC engines must
   * produce walks bitwise identical to the sequential engine, because each
   * walker owns its RNG and stages never reorder a walker's draws.
+  *
+  * All three schedules run the same stage machine, so they are also
+  * checked against an independent reference: a cost-free replay of
+  * Algorithm 2 built on the `StaticTables.Ref` samplers.
   */
 class EngineEquivalenceSpec extends SparkSpec with GraphFixtures {
 
   private lazy val g: CSRGraph = tinyGraph(n = 150, e = 900, seed = 21L)
   private val cfg = MemConfig()
 
+  private def walkers(n: Int): Array[Walker] = {
+    val rng = new java.util.SplittableRandom(4L)
+    val sources = Array.fill(n)(rng.nextInt(g.numVertices))
+    ThunderRW.makeWalkers(0 until n, sources, seed = 77L)
+  }
+
   private def walks(app: RandomWalkApp, m: SamplingMethod.Value,
                     kind: EngineKind.Value, n: Int, ring: Int): Seq[Seq[Int]] = {
     val (tables, _) = ThunderRW.preprocess(g, app, m, cfg, charge = false)
-    val rng = new java.util.SplittableRandom(4L)
-    val sources = Array.fill(n)(rng.nextInt(g.numVertices))
-    val walkers = ThunderRW.makeWalkers(0 until n, sources, seed = 77L)
-    val res = ThunderRW.runLocal(g, app, m, kind, tables, walkers, cfg, ring)
+    val res = ThunderRW.runLocal(g, app, m, kind, tables, walkers(n), cfg, ring)
     res.walks.map(_.toSeq).toSeq
+  }
+
+  /** Algorithm 2 replayed without an engine: every step builds the
+    * sampler's local distribution from scratch (`app.weight` for dynamic
+    * walks and O-REJ, edge weights otherwise) and draws from it with the
+    * `StaticTables.Ref` samplers, in the order the Move stages draw.
+    * Costs go to a throwaway simulator.
+    */
+  private def referenceWalks(app: RandomWalkApp, m: SamplingMethod.Value, n: Int): Seq[Seq[Int]] = {
+    val ctx = new SimCtx(new MemSim(cfg), g)
+    val gathers = app.walkerType == WalkerType.Dynamic &&
+      m != SamplingMethod.OREJ && m != SamplingMethod.NAIVE
+    def static(e: Int): Double =
+      if (app.walkerType == WalkerType.Unbiased) 1.0 else g.weight(e).toDouble
+    walkers(n).toSeq.map { w =>
+      while (!w.done) {
+        val d = g.degree(w.cur)
+        val base = g.edgeBegin(w.cur)
+        val probs =
+          if (d == 0) Array.emptyDoubleArray
+          else if (gathers || m == SamplingMethod.OREJ) Array.tabulate(d)(i => app.weight(ctx, g, w, base + i))
+          else Array.tabulate(d)(i => static(base + i))
+        if (d == 0 || (gathers && probs.sum <= 0.0)) w.done = true
+        else {
+          val local = m match {
+            case SamplingMethod.NAIVE => StaticTables.Ref.naive(d, w.rng)
+            case SamplingMethod.ITS   => StaticTables.Ref.its(probs.scanLeft(0.0)(_ + _).tail, w.rng)
+            case SamplingMethod.ALIAS =>
+              val (h, first, second) = StaticTables.buildAlias(probs, probs.sum)
+              StaticTables.Ref.alias(h, first, second, w.rng)
+            case SamplingMethod.REJ   => StaticTables.Ref.rej(probs, probs.max, w.rng)
+            case SamplingMethod.OREJ  => StaticTables.Ref.rej(probs, app.maxWeight(g), w.rng)
+          }
+          val e = base + local
+          w.move(g.neighbor(e))
+          if (app.update(ctx, g, w, e)) w.done = true
+        }
+      }
+      w.path.toSeq
+    }
   }
 
   private val configs: Seq[(String, () => RandomWalkApp, SamplingMethod.Value)] = Seq(
@@ -54,6 +101,11 @@ class EngineEquivalenceSpec extends SparkSpec with GraphFixtures {
       val seqW = walks(mk(), m, EngineKind.Sequential, 60, 16)
       val amacW = walks(mk(), m, EngineKind.Amac, 60, 16)
       assert(seqW == amacW)
+    }
+    for (kind <- EngineKind.values.toSeq) {
+      test(s"$kind walks == reference replay: $name") {
+        assert(walks(mk(), m, kind, 60, 16) == referenceWalks(mk(), m, 60))
+      }
     }
   }
 

@@ -170,8 +170,12 @@ class MemSimSpec extends AnyFunSuite {
   test("reset restores a pristine simulator") {
     val m = fresh()
     m.read(0L); m.compute(10); m.prefetch(64L)
+    m.read(64L) // residual stall of the in-flight prefetch
+    evictLine0FromL1(m); m.prefetch(0L); evictLine0FromL1(m); m.read(0L) // evict-refetch
+    assert(m.dbgDemandStall > 0 && m.dbgResidualStall > 0 && m.dbgEvictRefetch > 0)
     m.reset()
     assert(m.cycles == 0 && m.instructions == 0 && m.dramLines == 0)
+    assert(m.dbgDemandStall == 0 && m.dbgResidualStall == 0 && m.dbgEvictRefetch == 0)
     m.read(0L)
     assert(m.memStallCycles == m.cfg.latDram)
   }
